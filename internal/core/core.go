@@ -509,6 +509,84 @@ func (ix *Index) reducePoint(p []float64) ([]float64, error) {
 	return nil, fmt.Errorf("core: metric %v is not a vector reduction", ix.metric)
 }
 
+// maxNorm bounds the L2 norm of every point the index holds, in the
+// internal and in the projected space: two such points lie at most
+// 2·maxNorm apart, so every squared distance between them (at most
+// MaxFloat64/4) stays finite. A NaN or ±Inf coordinate makes the norm
+// NaN or +Inf, which fails the same bound. Points outside it would
+// reach the tree as NaN or +Inf distances, which no subtree choice or
+// pruning test can order.
+var maxNorm = math.Sqrt(math.MaxFloat64) / 4
+
+// checkNorm rejects a point whose norm is not within maxNorm.
+func checkNorm(p []float64) error {
+	if n := vec.Norm(p); !(n <= maxNorm) {
+		return fmt.Errorf("norm %v is not finite or exceeds %.4g", n, maxNorm)
+	}
+	return nil
+}
+
+// admitted is a point admit has validated, in the forms Insert stores:
+// the internal-space and projected coordinates for a vector metric, the
+// token set for Jaccard. Inserting copies out of it, so one admitted
+// point can be applied to both halves of a shard.
+type admitted struct {
+	internal, projected []float64
+	set                 []uint64
+}
+
+// admit validates a native-metric point for Insert and returns it in
+// the forms Insert stores. It changes nothing, so a rejected point
+// leaves the index (and, on a durable engine, the WAL) as it was; an
+// admitted one cannot fail to apply.
+func (ix *Index) admit(p []float64) (admitted, error) {
+	if ix.metric == metric.Jaccard {
+		set, err := tokensOf(p)
+		if err != nil {
+			return admitted{}, err
+		}
+		if set, err = minhash.Canonicalize(set); err != nil {
+			return admitted{}, fmt.Errorf("core: %w", err)
+		}
+		return admitted{set: set}, nil
+	}
+	if len(p) != ix.ndim {
+		return admitted{}, fmt.Errorf("core: point has dimension %d, index expects %d", len(p), ix.ndim)
+	}
+	internal, err := ix.reducePoint(p)
+	if err != nil {
+		return admitted{}, err
+	}
+	if err := checkNorm(internal); err != nil {
+		return admitted{}, fmt.Errorf("core: point rejected: %w", err)
+	}
+	projected := ix.proj.Project(internal)
+	if err := checkNorm(projected); err != nil {
+		return admitted{}, fmt.Errorf("core: point rejected: projected %w", err)
+	}
+	return admitted{internal: internal, projected: projected}, nil
+}
+
+// rowError names the input row a build rejected. BuildEngine renumbers
+// a shard-local row into the caller's numbering.
+type rowError struct {
+	row int
+	err error
+}
+
+func (e *rowError) Error() string { return fmt.Sprintf("core: row %d: %v", e.row, e.err) }
+
+// checkRows applies checkNorm to every row of s; prefix names the space
+// in the error.
+func checkRows(s *store.Store, prefix string) error {
+	for i := 0; i < s.Len(); i++ {
+		if err := checkNorm(s.Row(i)); err != nil {
+			return &rowError{row: i, err: fmt.Errorf("%s%w", prefix, err)}
+		}
+	}
+	return nil
+}
+
 // BuildFromStore constructs the index directly over the rows of s,
 // which is adopted as the index's dataset without copying. The caller
 // must not append to or mutate s afterwards. Only the L2 metric is
@@ -554,6 +632,9 @@ func buildInternal(s *store.Store, cfg Config, ndim int, scale float64) (*Index,
 		s.SetQuantize(cfg.Quantize)
 	}
 	dim := s.Dim()
+	if err := checkRows(s, ""); err != nil {
+		return nil, err
+	}
 
 	proj, err := lsh.NewProjection(cfg.M, dim, cfg.Seed)
 	if err != nil {
@@ -561,6 +642,9 @@ func buildInternal(s *store.Store, cfg Config, ndim int, scale float64) (*Index,
 	}
 	projected, err := proj.ProjectStore(s)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkRows(projected, "projected "); err != nil {
 		return nil, err
 	}
 	var pidx projectedIndex
@@ -637,20 +721,27 @@ func buildInternal(s *store.Store, cfg Config, ndim int, scale float64) (*Index,
 // live points replace random entries of the sample, so the
 // distribution tracks drift without a full resample.
 func (ix *Index) Insert(p []float64) (int32, error) {
-	if ix.metric == metric.Jaccard {
-		return ix.insertJaccard(p)
-	}
-	if len(p) != ix.ndim {
-		return 0, fmt.Errorf("core: point has dimension %d, index expects %d", len(p), ix.ndim)
-	}
-	p, err := ix.reducePoint(p)
+	a, err := ix.admit(p)
 	if err != nil {
 		return 0, err
 	}
+	return ix.insertAdmitted(a)
+}
+
+// insertAdmitted is Insert of a point admit has already validated.
+func (ix *Index) insertAdmitted(a admitted) (int32, error) {
+	if ix.metric == metric.Jaccard {
+		id, err := ix.mh.Insert(a.set)
+		if err != nil {
+			return 0, fmt.Errorf("core: %w", err)
+		}
+		return id, nil
+	}
+	p := a.internal
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	id := int32(len(ix.rowOf))
-	if err := ix.pidx.Insert(ix.proj.Project(p), id); err != nil {
+	if err := ix.pidx.Insert(a.projected, id); err != nil {
 		return 0, err
 	}
 	row, err := ix.data.Append(p)

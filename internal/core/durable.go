@@ -186,8 +186,11 @@ func (e *Engine) applyLogged(op wal.Op) error {
 func (d *durable) insert(e *Engine, p []float64) (int32, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if e.metric.Vector() && len(p) != e.dim {
-		return 0, fmt.Errorf("core: point has dimension %d, index expects %d", len(p), e.dim)
+	// Reject before logging: a logged record that fails to apply would
+	// fail every later replay the same way.
+	a, err := e.admit(p)
+	if err != nil {
+		return 0, err
 	}
 	// The id Insert will assign is fully determined here: d.mu is the
 	// only mutation path, so rr and the target shard's length are
@@ -202,10 +205,10 @@ func (d *durable) insert(e *Engine, p []float64) (int32, error) {
 	if err := d.w.Append(wal.Op{Kind: wal.OpInsert, ID: gid, Vec: p}); err != nil {
 		return 0, err
 	}
-	got, err := e.insertMem(p)
+	got, err := e.applyInsert(a)
 	if err != nil {
-		// The record is already logged; failing to apply it means the
-		// next replay would fail the same way. Nothing to repair here.
+		// Unreachable: admit accepted p, and an admitted point
+		// cannot fail to apply.
 		return 0, fmt.Errorf("core: insert logged but not applied: %w", err)
 	}
 	if got != gid {

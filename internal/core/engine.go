@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -242,6 +243,10 @@ func BuildEngine(data [][]float64, cfg Config) (*Engine, error) {
 				ix, err = Build(rows, cfg)
 			}
 			if err != nil {
+				var re *rowError
+				if errors.As(err, &re) {
+					re.row = re.row*n + s // shard-local row → input row
+				}
 				return nil, err
 			}
 			inners[s] = ix
@@ -342,19 +347,34 @@ func (e *Engine) Insert(p []float64) (int32, error) {
 	return e.insertMem(p)
 }
 
-// insertMem is the in-memory insert: the non-durable path, and what
-// both live durable inserts and WAL replay apply.
+// insertMem is the in-memory insert: the non-durable path and WAL
+// replay. A rejected point leaves every shard and the round-robin
+// counter untouched.
 func (e *Engine) insertMem(p []float64) (int32, error) {
-	// Jaccard "points" are variable-length token sets (e.dim is 0);
-	// the shard's Insert validates them.
-	if e.metric.Vector() && len(p) != e.dim {
-		return 0, fmt.Errorf("core: point has dimension %d, index expects %d", len(p), e.dim)
+	a, err := e.admit(p)
+	if err != nil {
+		return 0, err
 	}
+	return e.applyInsert(a)
+}
+
+// admit validates p once for whichever shard takes it (see
+// Index.admit). All shards share the metric, the projection and the
+// inner-product scale, so shard 0 decides for all.
+func (e *Engine) admit(p []float64) (admitted, error) {
+	h := e.shards[0].pin()
+	defer h.unpin()
+	return h.ix.admit(p)
+}
+
+// applyInsert inserts an admitted point into the next shard in
+// round-robin order.
+func (e *Engine) applyInsert(a admitted) (int32, error) {
 	n := len(e.shards)
 	s := int((e.rr.Add(1) - 1) % int64(n))
 	var gid int32
 	err := e.shards[s].write(func(ix *Index) error {
-		local, err := ix.Insert(p)
+		local, err := ix.insertAdmitted(a)
 		if err != nil {
 			return err
 		}

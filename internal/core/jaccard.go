@@ -75,19 +75,6 @@ func jaccardQueryStats(st minhash.Stats) QueryStats {
 	return QueryStats{Rounds: 1, Verified: st.Verified}
 }
 
-// insertJaccard is Insert for the Jaccard backend.
-func (ix *Index) insertJaccard(p []float64) (int32, error) {
-	set, err := tokensOf(p)
-	if err != nil {
-		return 0, err
-	}
-	id, err := ix.mh.Insert(set)
-	if err != nil {
-		return 0, fmt.Errorf("core: %w", err)
-	}
-	return id, nil
-}
-
 // searchJaccard is Search for the Jaccard backend: candidates from
 // band-bucket collisions, exact-Jaccard rescore, threshold filter,
 // distances reported as 1 − J.

@@ -1,6 +1,11 @@
 package pmtree
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+
+	"repro/internal/store"
+)
 
 // Bulk loading. Inserting points one at a time builds a poor tree: the
 // early tree shape is arbitrary, splits scatter near points across
@@ -30,10 +35,18 @@ import "sort"
 //
 // Cost: O(n log n) metric evaluations for the bisection plus
 // O(n·capacity) for leaf packing — comparable to one insertion pass.
+//
+// Layout: the bisection partitions one row array in place, so every
+// leaf's rows end up adjacent and the leaves follow in depth-first
+// order. The point store is finally permuted into that order (one copy
+// of n×dim floats), which makes a leaf scan read one contiguous run of
+// rows instead of capacity rows scattered over the whole store — the
+// same layout Read produces, since it appends rows as leaves decode.
 
 // bulkLoad builds the tree over all rows of t.points. ids[row] is
 // stored with each point (nil = row index). Must be called on a fresh
-// tree (count == 0).
+// tree (count == 0). On return t.points is a new, leaf-ordered store;
+// the previous one is no longer referenced.
 func (t *Tree) bulkLoad(ids []int32) {
 	n := t.points.Len()
 	rows := make([]int32, n)
@@ -49,6 +62,7 @@ func (t *Tree) bulkLoad(ids []int32) {
 	// matrix is computed once, not re-derived by the refinement check
 	// and again by packLeaf.
 	var rec func(rs []int32, da, db []float64, mm *minimaxResult)
+	packed := 0
 	rec = func(rs []int32, da, db []float64, mm *minimaxResult) {
 		if len(rs) > t.capacity {
 			mid := t.bisect(rs, da, db, false)
@@ -82,9 +96,11 @@ func (t *Tree) bulkLoad(ids []int32) {
 				}
 			}
 		}
-		level = append(level, t.packLeaf(rs, ids, mm))
+		level = append(level, t.packLeaf(rs, int32(packed), ids, mm))
+		packed += len(rs)
 	}
 	rec(rows, da, db, nil)
+	t.points = leafOrdered(t.points, rows)
 
 	// Assemble upper levels until the entries fit one root node.
 	for len(level) > t.capacity {
@@ -110,6 +126,20 @@ func (t *Tree) bulkLoad(ids []int32) {
 		t.root = &node{leaf: false, routing: level}
 	}
 	t.count = n
+}
+
+// leafOrdered returns a new store whose row j is row order[j] of s.
+func leafOrdered(s *store.Store, order []int32) *store.Store {
+	dim := s.Dim()
+	buf := make([]float64, len(order)*dim)
+	for j, r := range order {
+		copy(buf[j*dim:(j+1)*dim], s.Row(int(r)))
+	}
+	out, err := store.FromFlat(buf, dim)
+	if err != nil {
+		panic(fmt.Sprintf("pmtree: %v", err)) // unreachable: dim > 0, len(buf) = n·dim
+	}
+	return out
 }
 
 // bisect partitions rs in place around two far-apart pivot rows and
@@ -223,8 +253,9 @@ func (t *Tree) minimax(rs []int32) *minimaxResult {
 
 // packLeaf builds one leaf over a partition and returns its routing
 // entry, routed by the partition's minimax row. mm must be aligned
-// with the current ordering of rs.
-func (t *Tree) packLeaf(rs []int32, ids []int32, mm *minimaxResult) routingEntry {
+// with the current ordering of rs. Entry i gets row base+i: its
+// position once bulkLoad has permuted the store into leaf order.
+func (t *Tree) packLeaf(rs []int32, base int32, ids []int32, mm *minimaxResult) routingEntry {
 	m := len(rs)
 	dm, best, bestRadius := mm.dm, mm.best, mm.radius
 
@@ -255,7 +286,7 @@ func (t *Tree) packLeaf(rs []int32, ids []int32, mm *minimaxResult) routingEntry
 			}
 		}
 		leaf.entries = append(leaf.entries, leafEntry{
-			row: row, id: id, parentDist: dm[best*m+i], pivotDist: pd,
+			row: base + int32(i), id: id, parentDist: dm[best*m+i], pivotDist: pd,
 		})
 	}
 	center := make([]float64, t.dim)

@@ -87,7 +87,11 @@ type routingEntry struct {
 // (4 bytes vs a 24-byte slice header) and lets leaf scans walk one flat
 // buffer.
 type leafEntry struct {
-	row        int32 // index into Tree.points
+	// row indexes Tree.points. In a bulk-loaded or decoded tree, the
+	// leaves' rows in depth-first order are 0..n−1 (see Tree.points).
+	// row is the tree's private storage slot, not the caller's row
+	// number; that is id.
+	row        int32
 	id         int32
 	parentDist float64   // distance to the leaf node's routing object
 	pivotDist  []float64 // exact distances to the s pivots
@@ -109,7 +113,14 @@ func (n *node) size() int {
 // Tree is a PM-tree over m-dimensional float64 points. Indexed points
 // live in one contiguous store; leaf entries reference rows of it.
 type Tree struct {
-	root     *node
+	root *node
+	// points is the tree's private store. Build, BuildFromStore and
+	// Read lay it out in leaf order: walking the leaves depth-first
+	// visits rows 0, 1, …, n−1, so one leaf's points are one contiguous
+	// run of rows and a leaf scan streams memory instead of missing the
+	// cache once per entry. Insert appends (or recycles a deleted slot)
+	// wherever the store has room, so inserted points sit out of leaf
+	// order until the next rebuild (core's Compact) restores it.
 	points   *store.Store
 	pivots   [][]float64
 	capacity int
@@ -183,9 +194,11 @@ func Build(data [][]float64, ids []int32, cfg Config) (*Tree, error) {
 	return BuildFromStore(s, ids, cfg)
 }
 
-// BuildFromStore constructs a tree directly over the rows of s, which
-// is adopted as the tree's point store without copying. The caller must
-// not append to or mutate s afterwards. ids follows Build's contract.
+// BuildFromStore constructs a tree over the rows of s. The tree keeps
+// its own copy of the rows, permuted into leaf order (see Tree.points);
+// s is read but neither modified nor retained, so the caller may reuse
+// or drop it. ids[i] is stored with row i of s and follows Build's
+// contract.
 //
 // The tree is bulk loaded (see bulkload.go): metric-local leaves
 // packed by recursive far-pivot bisection, upper levels assembled

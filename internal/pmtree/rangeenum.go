@@ -78,6 +78,16 @@ import (
 // bytes (node geometry lives in a side arena indexed by item.ref, the
 // pairs.go layout), and statistics are batched locally and flushed per
 // Expand like the pair enumerator's counters.
+//
+// The leaf scan in expandNode reads each entry's point through its
+// store row. Those reads are the walk's main memory traffic — one
+// 8·m-byte row per entry, against a few bytes of entry metadata — and
+// they stay sequential because every built or decoded tree keeps its
+// store in leaf order (see Tree.points): a leaf's rows are adjacent and
+// consecutive leaves follow each other, so a leaf costs a short
+// streamed run instead of one cache miss per entry. Thawed point items
+// (rkPointLB) re-read their row later, in frontier order; they are the
+// minority of distance evaluations.
 
 // Range-item kinds, in lifecycle order. ref indexes the node arena for
 // node kinds and holds the store row for point kinds.

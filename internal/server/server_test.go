@@ -95,6 +95,10 @@ func TestRoutesTableDriven(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			_, ts, data := newTestServer(t, shards, 0)
 			q := vecJSON(data[7])
+			huge := make([]float64, len(data[7]))
+			for i := range huge {
+				huge[i] = 1e308 // valid JSON, but its projection overflows
+			}
 			cases := []struct {
 				name, path, body string
 				wantStatus       int
@@ -123,6 +127,7 @@ func TestRoutesTableDriven(t *testing.T) {
 				{"ball wrong dim", "/v1/ball", `{"q":[9],"r":2.5}`, 400, "dimension"},
 				{"insert ok", "/v1/insert", `{"p":` + q + `}`, 200, ""},
 				{"insert wrong dim", "/v1/insert", `{"p":[1,2]}`, 400, "dimension"},
+				{"insert overflowing point", "/v1/insert", `{"p":` + vecJSON(huge) + `}`, 400, "rejected"},
 				{"insert unknown field", "/v1/insert", `{"p":` + q + `,"id":7}`, 400, "unknown field"},
 				{"delete unknown id", "/v1/delete", `{"id":99999}`, 400, "unknown id"},
 				{"delete negative id", "/v1/delete", `{"id":-3}`, 400, "unknown id"},
