@@ -425,7 +425,7 @@ func searchPairsJaccardSharded(ctx context.Context, pins []*half, k int, o Searc
 	set := func(gid int32) []uint64 {
 		return pins[gid%nsh].ix.mh.Set(gid / nsh)
 	}
-	top := make([]Pair, 0, k)
+	top := make([]Pair, 0, min(k, len(cands)))
 	for n, cand := range cands {
 		if n%cpBatchSize == 0 {
 			if err := ctxErr(ctx); err != nil {

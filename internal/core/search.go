@@ -212,6 +212,12 @@ func (ix *Index) searchLocked(ctx context.Context, q []float64, k int, o SearchO
 		}
 		return nil, nil
 	}
+	// No query can return more than the live points, so a larger k is
+	// that query; clamping first keeps k from sizing the top-k buffer
+	// or overflowing the budget below.
+	if k > n {
+		k = n
+	}
 	needed := int(math.Ceil(params.Beta*float64(n))) + k
 	if o.Budget > 0 {
 		needed = o.Budget

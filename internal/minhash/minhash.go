@@ -404,7 +404,7 @@ func (x *Index) Search(set []uint64, k int, opt SearchOpt) ([]Neighbor, Stats, e
 	st.Candidates = len(cand)
 	// Deterministic rescore order (bucket iteration order is not).
 	sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
-	top := make([]Neighbor, 0, k)
+	top := make([]Neighbor, 0, min(k, len(cand)))
 	for _, id := range cand {
 		if opt.Filter != nil && !opt.Filter(id) {
 			continue
@@ -478,7 +478,7 @@ func (x *Index) SearchPairs(k int, opt SearchOpt) ([]Pair, Stats, error) {
 		}
 		return cand[i][1] < cand[j][1]
 	})
-	top := make([]Pair, 0, k)
+	top := make([]Pair, 0, min(k, len(cand)))
 	for _, pr := range cand {
 		if opt.Filter != nil && (!opt.Filter(pr[0]) || !opt.Filter(pr[1])) {
 			continue

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"time"
 
@@ -105,21 +107,66 @@ func (s *Server) observeQuery(st core.QueryStats) {
 	s.screenedHist.Observe(float64(st.Screened))
 }
 
-// decode reads one JSON request body into dst: unknown fields are
-// rejected, bodies over the configured cap answer 413, and trailing
-// garbage after the value is an error.
+// decode reads one JSON request body into dst. The body is read once,
+// in full, through a MaxBytesReader, so a body over the configured cap
+// answers 413 however it starts. decodeBody then parses it: the four
+// vector-carrying requests go through the single-pass parser
+// (decodeFast); a body the parser declines, like every other request,
+// goes through encoding/json with unknown fields disallowed, which
+// keeps every value, error and message encoding/json gives. On both
+// paths only JSON whitespace may follow the value: anything else, a
+// stray ']' or '}' included, is trailing data (400).
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(r.Body)
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
+	if err != nil {
+		return err
+	}
+	return decodeBody(body, dst)
+}
+
+// decodeBody parses one request body into dst: decodeFast when dst
+// implements fastRequest and the body is canonical, decodeJSON
+// otherwise.
+func decodeBody(body []byte, dst any) error {
+	if f, ok := dst.(fastRequest); ok {
+		if decodeFast(body, f) {
+			return nil
+		}
+		reflect.ValueOf(dst).Elem().SetZero() // drop what decodeFast wrote
+	}
+	return decodeJSON(body, dst)
+}
+
+// decodeJSON is the encoding/json decode of a request body with the
+// server's strict settings: unknown fields are rejected, and nothing
+// but JSON whitespace may follow the value.
+func decodeJSON(body []byte, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return err
 	}
-	if dec.More() {
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
 		return fmt.Errorf("request body has trailing data after the JSON value")
 	}
 	return nil
 }
+
+// readBody reads r to the end. The buffer starts at the request's
+// declared Content-Length, so a typical body is read without regrowing
+// it, but at no more than maxBodyPrealloc: a client cannot make the
+// server reserve the full body cap by declaring a length it never
+// sends.
+func readBody(r io.Reader, contentLength int64) ([]byte, error) {
+	size := min(max(contentLength, 0), maxBodyPrealloc) + bytes.MinRead
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// maxBodyPrealloc bounds readBody's up-front buffer (a d=4096 search
+// body is about 80 KB).
+const maxBodyPrealloc = 1 << 20
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -6,6 +6,9 @@
 // readiness probes, and a Prometheus-text /metrics endpoint fed by
 // middleware that also emits structured request logs. Everything is
 // net/http + encoding/json from the standard library: no dependencies.
+// The bodies of the vector-carrying requests are decoded by a
+// single-pass parser that yields exactly what encoding/json would and
+// hands encoding/json whatever it does not accept (see Server.decode).
 //
 // # Endpoints
 //

@@ -114,6 +114,8 @@ func TestRoutesTableDriven(t *testing.T) {
 				{"search k negative", "/v1/search", `{"q":` + q + `,"k":-4}`, 400, "k"},
 				{"search unknown field", "/v1/search", `{"q":` + q + `,"k":5,"wat":1}`, 400, "unknown field"},
 				{"search trailing data", "/v1/search", `{"q":` + q + `,"k":5} {"again":true}`, 400, "trailing data"},
+				{"search trailing bracket", "/v1/search", `{"q":` + q + `,"k":5}]`, 400, "trailing data"},
+				{"search trailing brace", "/v1/search", `{"q":` + q + `,"k":5}}`, 400, "trailing data"},
 				{"search bad ratio", "/v1/search", `{"q":` + q + `,"k":5,"ratio":0.5}`, 400, "ratio"},
 				{"search negative timeout", "/v1/search", `{"q":` + q + `,"k":5,"timeout_ms":-1}`, 400, "timeout_ms"},
 				{"batch ok", "/v1/search/batch", `{"qs":[` + q + `,` + q + `],"k":4}`, 200, ""},
@@ -238,6 +240,26 @@ func TestInsertDeleteRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHugeKServedByShardedServer: a k far above the live count (one
+// that cannot size an allocation) is a valid request for every live
+// point; a 4-shard server answers it and keeps serving.
+func TestHugeKServedByShardedServer(t *testing.T) {
+	_, ts, data := newTestServer(t, 4, 0)
+	q := vecJSON(data[5])
+	for _, k := range []string{"4611686018427387904", "9223372036854775807"} {
+		status, body := post(t, ts, "/v1/search", `{"q":`+q+`,"k":`+k+`}`)
+		if status != 200 {
+			t.Fatalf("k=%s: status %d (%v)", k, status, body)
+		}
+		if n := len(body["results"].([]any)); n != len(data) {
+			t.Fatalf("k=%s: %d results, want all %d live points", k, n, len(data))
+		}
+	}
+	if status, body := post(t, ts, "/v1/search", `{"q":`+q+`,"k":3}`); status != 200 {
+		t.Fatalf("search after huge k: status %d (%v)", status, body)
+	}
+}
+
 func TestOversizedBody413(t *testing.T) {
 	_, ts, _ := newTestServer(t, 1, 512)
 	big := `{"q":[` + strings.Repeat("1,", 4000) + `1],"k":5}`
@@ -254,11 +276,12 @@ func TestOversizedBody413(t *testing.T) {
 // TestTimeout504 pins the deadline contract: a request whose own
 // timeout_ms expires answers 504 and surfaces ctx.Err(). A large batch
 // makes the deadline reliable — cancellation is checked between batch
-// work items, and hundreds of queries cannot finish in 1ms.
+// work items, and thousands of queries cannot finish in 1ms (400 could
+// on a fast host: about one run in eight then answered 200).
 func TestTimeout504(t *testing.T) {
 	_, ts, data := newTestServer(t, 1, 0)
 	var qs []string
-	for i := 0; i < 400; i++ {
+	for i := 0; i < 4000; i++ {
 		qs = append(qs, vecJSON(data[i%len(data)]))
 	}
 	body := `{"qs":[` + strings.Join(qs, ",") + `],"k":10,"timeout_ms":1}`

@@ -13,21 +13,24 @@
 # reductions, a top-10 Jaccard set query against the MinHash backend,
 # and the whole-corpus SearchPairs duplicate sweep, plus the per-layer
 # projected PM-tree walk of internal/pmtree, ns/op and dist/op of one
-# Reset + Expand over four 5k-point m=15 shard trees).
+# Reset + Expand over four 5k-point m=15 shard trees, plus the
+# per-layer request decode of internal/server, ns/op and MB/s of the
+# server's decoder and of plain encoding/json on d=64 and d=4096
+# search bodies and a d=4096 insert body).
 #
 # Usage: scripts/bench_trajectory.sh [output.json]
-#   PR        tag for the stacked-PR sequence number   (default: 12)
+#   PR        tag for the stacked-PR sequence number   (default: 13)
 #   BENCHTIME go test -benchtime value                 (default: 1s)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-pr="${PR:-12}"
+pr="${PR:-13}"
 out="${1:-BENCH_${pr}.json}"
 benchtime="${BENCHTIME:-1s}"
 
 raw="$(go test -run '^$' \
-  -bench '^(BenchmarkQueryK50|BenchmarkKNNSerial|BenchmarkKNNBatch|BenchmarkQueryK50Churned|BenchmarkQueryK50Filtered|BenchmarkQueryK50QuantF32|BenchmarkQueryK50QuantI8|BenchmarkQueryK50HighDim|BenchmarkQueryK50HighDimQuantF32|BenchmarkQueryK50HighDimQuantI8|BenchmarkMixedReadP99|BenchmarkServerSearch|BenchmarkServerSearchDurable|BenchmarkServerInsertDurable|BenchmarkQueryK50Cosine|BenchmarkQueryK50MIP|BenchmarkJaccardSearch|BenchmarkTextDedupPairs|BenchmarkRangeEnumeratorExpand)$' \
-  -benchtime "$benchtime" . ./internal/pmtree)"
+  -bench '^(BenchmarkQueryK50|BenchmarkKNNSerial|BenchmarkKNNBatch|BenchmarkQueryK50Churned|BenchmarkQueryK50Filtered|BenchmarkQueryK50QuantF32|BenchmarkQueryK50QuantI8|BenchmarkQueryK50HighDim|BenchmarkQueryK50HighDimQuantF32|BenchmarkQueryK50HighDimQuantI8|BenchmarkMixedReadP99|BenchmarkServerSearch|BenchmarkServerSearchDurable|BenchmarkServerInsertDurable|BenchmarkQueryK50Cosine|BenchmarkQueryK50MIP|BenchmarkJaccardSearch|BenchmarkTextDedupPairs|BenchmarkRangeEnumeratorExpand|BenchmarkDecodeRequest)$' \
+  -benchtime "$benchtime" . ./internal/pmtree ./internal/server)"
 echo "$raw"
 echo "$raw" | go run ./cmd/benchjson -pr "$pr" > "$out"
 echo "wrote $out"
